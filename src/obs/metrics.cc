@@ -1,5 +1,9 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+
 #include "util/logging.h"
 
 namespace springdtw {
@@ -26,6 +30,85 @@ const FamilySnapshot* MetricsSnapshot::Find(std::string_view name) const {
 
 namespace {
 
+// A positive normal double's bits, shifted right by kMantissaShift, are its
+// biased exponent followed by the top kSubBucketBits mantissa bits: a key
+// that is monotone in the value and names its log-linear bucket.
+constexpr int kMantissaShift = 52 - Histogram::kSubBucketBits;
+constexpr uint64_t kFirstKey =
+    static_cast<uint64_t>(1023 + Histogram::kMinExponent)
+    << Histogram::kSubBucketBits;
+constexpr uint64_t kEndKey =
+    static_cast<uint64_t>(1023 + Histogram::kMaxExponent + 1)
+    << Histogram::kSubBucketBits;
+static_assert(Histogram::kMinExponent > -1023 &&
+                  Histogram::kMaxExponent < 1023,
+              "the bucket range must hold only normal doubles");
+constexpr double kLowestTracked =
+    std::bit_cast<double>(kFirstKey << kMantissaShift);
+constexpr double kHighestTracked =
+    std::bit_cast<double>(kEndKey << kMantissaShift);
+
+double BucketMidpoint(int index) {
+  const uint64_t key = kFirstKey + static_cast<uint64_t>(index - 1);
+  const double lo = std::bit_cast<double>(key << kMantissaShift);
+  const double hi = std::bit_cast<double>((key + 1) << kMantissaShift);
+  return 0.5 * (lo + hi);
+}
+
+}  // namespace
+
+int Histogram::BucketIndex(double v) {
+  if (v >= kLowestTracked && v < kHighestTracked) {
+    const uint64_t key = std::bit_cast<uint64_t>(v) >> kMantissaShift;
+    return static_cast<int>(key - kFirstKey) + 1;
+  }
+  return v < kLowestTracked ? 0 : kNumBuckets - 1;  // NaN ranks on top.
+}
+
+void Histogram::Overflow(double v) {
+  buckets_.assign(kNumBuckets, 0);
+  for (const double w : window_) {
+    ++buckets_[static_cast<size_t>(BucketIndex(w))];
+  }
+  std::vector<double>().swap(window_);
+  ++buckets_[static_cast<size_t>(BucketIndex(v))];
+}
+
+double Histogram::Quantile(double q) const {
+  const int64_t n = count();
+  if (n == 0) return 0.0;
+  q = q > 0.0 ? std::min(q, 1.0) : 0.0;  // NaN -> 0.
+  const auto rank =
+      static_cast<int64_t>(q * static_cast<double>(n - 1) + 0.5);
+  const double lo = stats_.min();
+  const double hi = stats_.max();
+  double v = hi;
+  if (buckets_.empty()) {
+    if (sorted_ < window_.size()) {
+      const auto tail = window_.begin() + static_cast<ptrdiff_t>(sorted_);
+      std::sort(tail, window_.end());
+      std::inplace_merge(window_.begin(), tail, window_.end());
+      sorted_ = window_.size();
+    }
+    v = window_[static_cast<size_t>(rank)];
+  } else {
+    // Every observation lies at or above min's bucket (NaN sits on top).
+    int b = std::isnan(lo) ? 0 : BucketIndex(lo);
+    for (int64_t seen = 0; b < kNumBuckets; ++b) {
+      seen += buckets_[static_cast<size_t>(b)];
+      if (seen > rank) break;
+    }
+    if (b == 0) {
+      v = 0.0;
+    } else if (b < kNumBuckets - 1) {
+      v = BucketMidpoint(b);
+    }
+  }
+  return std::clamp(v, lo, hi);
+}
+
+namespace {
+
 void MergeHistogram(const HistogramSnapshot& in, HistogramSnapshot* out) {
   if (in.count == 0) return;
   if (out->count == 0) {
@@ -41,10 +124,14 @@ void MergeHistogram(const HistogramSnapshot& in, HistogramSnapshot* out) {
   out->count += in.count;
   out->mean = out->sum / total;
   // Count-weighted quantile blend: not exact, but monotone and bounded by
-  // the shard extremes, which is the most a summary merge can promise.
-  out->p50 = (out->p50 * w_out + in.p50 * w_in) / total;
-  out->p90 = (out->p90 * w_out + in.p90 * w_in) / total;
-  out->p99 = (out->p99 * w_out + in.p99 * w_in) / total;
+  // the shard extremes, which is the most a summary merge can promise. The
+  // clamp keeps rounding from stepping an ulp past min or max.
+  const auto blend = [&](double a, double b) {
+    return std::clamp((a * w_out + b * w_in) / total, out->min, out->max);
+  };
+  out->p50 = blend(out->p50, in.p50);
+  out->p90 = blend(out->p90, in.p90);
+  out->p99 = blend(out->p99, in.p99);
   out->exact = false;
 }
 

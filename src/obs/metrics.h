@@ -1,7 +1,9 @@
 #ifndef SPRINGDTW_OBS_METRICS_H_
 #define SPRINGDTW_OBS_METRICS_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -50,47 +52,82 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Distribution metric. Backed by the existing util accumulators:
-/// util::LogHistogram for O(1) bucketed quantiles, util::RunningStats for
-/// exact moments, and util::QuantileSketch for exact quantiles. The sketch
-/// stores one double per observation up to kMaxExactSamples; past that it
-/// stops growing and quantiles degrade to the log-bucket approximation
-/// (Snapshot marks this via `exact`).
+/// Distribution metric with fixed memory and a fixed snapshot cost, however
+/// long the series has run. Three parts:
+///  - util::RunningStats: exact count / sum / min / max / mean.
+///  - An exact window holding the first kMaxExactSamples observations.
+///    While a series fits in it, quantiles are the exact nearest-rank
+///    answers (Snapshot marks them `exact`).
+///  - Past the window, a log-linear bucket array, HDR-style: kSubBuckets
+///    linear sub-buckets per power of two over [2^kMinExponent,
+///    2^(kMaxExponent + 1)). It is allocated once, at the first overflow;
+///    the window's samples are folded into it and the window is released.
+///    A quantile is then the midpoint of the bucket holding the
+///    nearest-rank observation, so its relative error is at most
+///    kRelativeError = 1 / (2 * kSubBuckets) (0.8%) for in-range values.
+///    Values below the range (zero, negatives, denormals, -inf) share one
+///    bucket reported as 0; values at or above it, +inf and NaN share one
+///    reported as max. (NaN ranks with +inf in the window too.)
+/// Quantiles are clamped to [min, max]. Observe is O(1) and allocates only
+/// twice in a series' life: the window on the first observation and the
+/// buckets at the first overflow. Quantile sorts only what was observed
+/// since the last call and merges it into the sorted window; past the
+/// window it scans at most kNumBuckets counters (~53 KB).
 class Histogram {
  public:
-  static constexpr int64_t kMaxExactSamples = 1 << 20;
+  static constexpr int64_t kMaxExactSamples = 1 << 12;
+  static constexpr int kSubBucketBits = 6;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  static constexpr int kMinExponent = -40;
+  static constexpr int kMaxExponent = 63;
+  /// Underflow bucket, the in-range buckets, overflow bucket.
+  static constexpr int kNumBuckets =
+      (kMaxExponent - kMinExponent + 1) * kSubBuckets + 2;
+  /// Bound on |Quantile - exact| / exact once past the window.
+  static constexpr double kRelativeError = 0.5 / kSubBuckets;
 
   void Observe(double v) {
-    log_.Add(v);
     stats_.Add(v);
-    if (sketch_.count() < kMaxExactSamples) sketch_.Add(v);
+    if (!buckets_.empty()) {
+      ++buckets_[static_cast<size_t>(BucketIndex(v))];
+    } else if (static_cast<int64_t>(window_.size()) < kMaxExactSamples) {
+      if (window_.empty()) window_.reserve(kMaxExactSamples);
+      // NaN ranks with +inf, as in the buckets, and keeps the sort valid.
+      window_.push_back(std::isnan(v) ? kInfinity : v);
+    } else {
+      Overflow(v);
+    }
   }
 
   int64_t count() const { return stats_.count(); }
   double sum() const { return stats_.sum(); }
 
-  /// True while every observation is still held by the exact sketch.
-  bool exact() const { return stats_.count() == sketch_.count(); }
+  /// True while every observation is still held by the exact window.
+  bool exact() const { return buckets_.empty(); }
 
-  /// Exact quantile while exact(), log-bucket upper edge afterwards.
-  double Quantile(double q) const {
-    return exact() ? sketch_.Quantile(q) : log_.Quantile(q);
-  }
+  /// Nearest-rank q-quantile: exact while exact(), within the bucket
+  /// resolution afterwards. Returns 0 when empty.
+  double Quantile(double q) const;
 
   const util::RunningStats& stats() const { return stats_; }
-  const util::LogHistogram& log() const { return log_; }
-  const util::QuantileSketch& sketch() const { return sketch_; }
 
-  void Reset() {
-    log_ = util::LogHistogram();
-    stats_.Reset();
-    sketch_.Reset();
-  }
+  void Reset() { *this = Histogram(); }
+
+  /// Bucket of `v` in [0, kNumBuckets); defined for every double.
+  static int BucketIndex(double v);
 
  private:
-  util::LogHistogram log_;
+  /// Allocates the buckets, folds the window into them, then adds `v`.
+  void Overflow(double v);
+
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
   util::RunningStats stats_;
-  util::QuantileSketch sketch_;
+  // Quantile keeps window_[0, sorted_) sorted, merging in what Observe
+  // appended since. Empty once the buckets exist.
+  mutable std::vector<double> window_;
+  mutable size_t sorted_ = 0;
+  std::vector<int64_t> buckets_;
 };
 
 /// Point-in-time copy of one histogram series, for exposition.

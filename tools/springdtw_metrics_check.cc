@@ -13,9 +13,10 @@
 // type "histogram" with at least one series, every --require_gauge name
 // appears as a family of type "gauge", and every histogram series in
 // the file is well-formed: count >= 0 and — whenever count > 0 — finite
-// (non-null) sum/min/max/mean and non-negative, finite p50/p90/p99
-// quantile bounds. Used by the ctest smoke tests so CI catches a broken
-// exposition path without external JSON tooling.
+// (non-null) sum/min/max/mean, non-negative, finite p50/p90/p99 quantile
+// bounds, and min <= p50 <= p90 <= p99 <= max. Used by the ctest smoke
+// tests so CI catches a broken exposition path without external JSON
+// tooling.
 //
 // --timez=FILE validates a /timez response (either the catalog document or
 // a ?metric= series document): positive tier widths/slots, coarser tier
@@ -290,6 +291,21 @@ class JsonChecker {
             "series %s bucket bound is negative (%g)", keys[i],
             values[i].number));
       }
+    }
+    // min <= p50 <= p90 <= p99 <= max over the keys present (indices into
+    // the stat keys).
+    static constexpr size_t kOrder[] = {2, 5, 6, 7, 3};
+    const ScalarValue* prev = nullptr;
+    const char* prev_key = nullptr;
+    for (const size_t i : kOrder) {
+      if (!seen[i] || !values[i].is_number) continue;
+      if (prev != nullptr && values[i].number < prev->number) {
+        SeriesError(springdtw::util::StrFormat(
+            "series %s (%g) is below %s (%g)", keys[i], values[i].number,
+            prev_key, prev->number));
+      }
+      prev = &values[i];
+      prev_key = keys[i];
     }
   }
 
